@@ -1,5 +1,9 @@
 //! Execution-tier throughput: interpreter vs. register-allocated bytecode.
 //!
+//! Bytecode is the production tier (the `DeviceConfig::exec_tier`
+//! default); the interpreter is the reference it is measured and diffed
+//! against. Each device here pins its tier with `Device::set_exec_tier`.
+//!
 //! Three single-worker workloads, once per tier:
 //!
 //! * **rsbench** — the compute proxy (float math + table lookups); shared

@@ -15,9 +15,9 @@
 //!   the *identical* device pointers — the present table, pool, and every
 //!   already-translated kernel argument stay valid without rewriting.
 //!   Replay asserts this ([`crate::HostError::Replay`] on divergence).
-//! * The device interpreter is deterministic, so replaying the recorded
-//!   launches reproduces bit-identical memory, metrics, and sanitizer
-//!   verdicts — the chaos suite's recovered-equals-clean claim.
+//! * Device execution is deterministic on either tier, so replaying the
+//!   recorded launches reproduces bit-identical memory, metrics, and
+//!   sanitizer verdicts — the chaos suite's recovered-equals-clean claim.
 //!
 //! Pool frees are deliberately *not* journaled: freeing only moves a
 //! block to the host-side free list and touches no device memory, and the

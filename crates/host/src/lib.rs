@@ -41,7 +41,7 @@ use nzomp::{BuildConfig, CompileCache, CompileOutput};
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
-use nzomp_vgpu::{Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal};
+use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan, KernelMetrics, RtVal};
 
 pub use error::{ErrorClass, HostError, MapError, StreamError};
 pub use map::{BufId, MapKind, MapSpec, PresentTable};
@@ -184,13 +184,6 @@ pub struct Host {
     drain_seed: u64,
     eager: bool,
     ops_executed: u64,
-    worker_threads: Option<usize>,
-    /// Execution tier pinned on every current and future device (`None` =
-    /// each device's own `NZOMP_EXEC_TIER` resolution). Pinning matters
-    /// for recovery: journal replay and failover re-execution happen on
-    /// replacement devices, which must run the same tier as the original
-    /// so replayed launches are bit-identical.
-    exec_tier: Option<ExecTier>,
     fault_plan: Option<FaultPlan>,
 
     /// `Some` enables the recovery layer (journaling, retries, failover);
@@ -220,8 +213,6 @@ impl Host {
             drain_seed: 0,
             eager: false,
             ops_executed: 0,
-            worker_threads: None,
-            exec_tier: None,
             fault_plan: None,
             recovery: None,
             rmetrics: RecoveryMetrics::default(),
@@ -288,28 +279,15 @@ impl Host {
             .get(img.0 as usize)
             .ok_or(HostError::UnknownImage(img.0))?
             .clone();
-        let global = self.fault_plan.clone();
-        let workers = self.worker_threads;
-        let tier = self.exec_tier;
-        let watchdog = self.watchdog_fuel;
         let slot = self
             .slots
-            .get_mut(dev)
+            .get(dev)
             .ok_or(HostError::NoDevice { device: dev, devices })?;
         if slot.image == Some(img) && slot.dev.is_some() && !slot.quarantined {
             return Ok(());
         }
-        let mut d = Device::load(out.module.clone(), self.dev_cfg.clone());
-        if let Some(w) = workers {
-            d.set_worker_threads(w);
-        }
-        if let Some(t) = tier {
-            d.set_exec_tier(t);
-        }
-        if let Some(p) = effective_plan(&global, &slot.device_plan) {
-            d.set_fault_plan(p);
-        }
-        d.set_watchdog_fuel(watchdog);
+        let d = self.new_device(&out.module, &slot.device_plan);
+        let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.image = Some(img);
         slot.table = PresentTable::new();
@@ -945,17 +923,7 @@ impl Host {
             .get(img.0 as usize)
             .ok_or(HostError::UnknownImage(img.0))?
             .clone();
-        let mut d = Device::load(out.module.clone(), self.dev_cfg.clone());
-        if let Some(w) = self.worker_threads {
-            d.set_worker_threads(w);
-        }
-        if let Some(t) = self.exec_tier {
-            d.set_exec_tier(t);
-        }
-        if let Some(p) = &self.fault_plan {
-            d.set_fault_plan(p.clone());
-        }
-        d.set_watchdog_fuel(self.watchdog_fuel);
+        let d = self.new_device(&out.module, &None);
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.device_plan = None;
@@ -968,7 +936,7 @@ impl Host {
 
     /// Re-execute the slot's journal on its (fresh) device. Determinism
     /// does the heavy lifting: bump allocation reproduces every pointer
-    /// (asserted), and the interpreter reproduces every byte and metric.
+    /// (asserted), and execution reproduces every byte and metric.
     /// Any divergence is a typed [`HostError::Replay`].
     fn replay_journal(&mut self, dev: usize) -> Result<(), HostError> {
         let effects = self
@@ -1130,31 +1098,6 @@ impl Host {
         }
     }
 
-    /// Pin the worker-thread count of every current and future device
-    /// (overrides `NZOMP_VGPU_THREADS` resolution in `Device::load`).
-    pub fn set_worker_threads(&mut self, n: usize) {
-        self.worker_threads = Some(n);
-        for s in &mut self.slots {
-            if let Some(d) = s.dev.as_mut() {
-                d.set_worker_threads(n);
-            }
-        }
-    }
-
-    /// Pin the execution tier of every current and future device
-    /// (overrides `NZOMP_EXEC_TIER` resolution in `Device::load`). The
-    /// pin survives failover: replacement devices — and therefore journal
-    /// replays — run the same tier as the device they replace, keeping
-    /// recovery bit-identical to the original execution.
-    pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.exec_tier = Some(tier);
-        for s in &mut self.slots {
-            if let Some(d) = s.dev.as_mut() {
-                d.set_exec_tier(tier);
-            }
-        }
-    }
-
     /// Arm a fault plan on every current and future device (merged with
     /// any per-slot plan from [`Host::set_device_faults`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -1249,6 +1192,19 @@ impl Host {
         } else {
             Err(HostError::Stream(SE::UnknownEvent(e.0)))
         }
+    }
+
+    /// Build a device for `module`: the host's `DeviceConfig` (tier and
+    /// worker count included), then the host-wide fault plan merged with
+    /// `device_plan`, then the watchdog. Bind and failover both create
+    /// devices here, so a replacement runs exactly like the original.
+    fn new_device(&self, module: &Module, device_plan: &Option<FaultPlan>) -> Device {
+        let mut d = Device::load(module.clone(), self.dev_cfg.clone());
+        if let Some(p) = effective_plan(&self.fault_plan, device_plan) {
+            d.set_fault_plan(p);
+        }
+        d.set_watchdog_fuel(self.watchdog_fuel);
+        d
     }
 
     fn slot_mut(&mut self, dev: usize) -> Result<&mut DeviceSlot, HostError> {

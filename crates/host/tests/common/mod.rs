@@ -48,3 +48,11 @@ pub fn quick() -> DeviceConfig {
         ..DeviceConfig::default()
     }
 }
+
+/// [`quick`] on the sequential engine, whatever `NZOMP_VGPU_THREADS` says.
+pub fn quick_seq() -> DeviceConfig {
+    DeviceConfig {
+        worker_threads: 1,
+        ..quick()
+    }
+}

@@ -6,11 +6,13 @@
 
 mod common;
 
-use common::{input, quick, scale_add_app, scale_add_expected};
+use common::{input, quick, quick_seq, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DeviceFaultKind, DeviceFaultSite, FaultPlan, RtVal, TrapKind};
+use nzomp_vgpu::{
+    DeviceConfig, DeviceFaultKind, DeviceFaultSite, ExecTier, FaultPlan, RtVal, TrapKind,
+};
 
 const N: usize = 64;
 
@@ -41,9 +43,7 @@ fn device_plan(sites: &[(u64, DeviceFaultKind)]) -> FaultPlan {
 }
 
 fn host(n_devices: usize) -> Host {
-    let mut h = Host::new(quick(), n_devices);
-    h.set_worker_threads(1);
-    h
+    Host::new(quick_seq(), n_devices)
 }
 
 /// Everything observable about one region run on device 0.
@@ -192,6 +192,52 @@ fn device_loss_fails_over_and_replays_bit_identically() {
         scale_add_expected(&input(N))
     );
     assert!(!h.quarantined(0), "the slot carries the replacement, not a tombstone");
+}
+
+/// A failover replacement is built from the host's `DeviceConfig`, so it
+/// keeps the configured tier and worker count — both away from their
+/// defaults here — and its replay still matches the clean run.
+#[test]
+fn failover_replacement_keeps_configured_tier_and_workers() {
+    let clean = run_clean();
+    let cfg = DeviceConfig {
+        exec_tier: ExecTier::Interp,
+        worker_threads: 2,
+        ..quick()
+    };
+    let mut h = Host::new(cfg, 1);
+    h.set_recovery(Some(RecoveryPolicy::default()));
+    let img = h
+        .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    h.bind_image(0, img).unwrap();
+    h.set_device_faults(0, device_plan(&[(1, DeviceFaultKind::Lost)]))
+        .unwrap();
+    let s = h.stream();
+    let region = h
+        .enqueue_region(&[s], img, "k", launch(), region_args())
+        .unwrap();
+    h.sync().unwrap();
+
+    assert_eq!(h.recovery_metrics().failovers, 1);
+    let replacement = h.device(0).unwrap();
+    assert_eq!(replacement.exec_tier(), ExecTier::Interp);
+    assert_eq!(replacement.worker_threads(), 2);
+    assert_eq!(
+        replacement.global_bytes(),
+        clean.2.as_slice(),
+        "device global-memory image"
+    );
+    assert_eq!(
+        h.buf_bits(region.bufs[1].unwrap()).unwrap(),
+        clean.0,
+        "output bits"
+    );
+    assert_eq!(
+        h.take_metrics(region.ticket).unwrap(),
+        clean.1,
+        "kernel metrics"
+    );
 }
 
 /// When the last device dies with no failover budget, the outcome is the

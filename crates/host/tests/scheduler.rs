@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{input, quick, scale_add_app, scale_add_expected};
+use common::{input, quick_seq, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
 use nzomp_host::{Host, RegionArg, SchedPolicy};
 use nzomp_vgpu::device::Launch;
@@ -32,8 +32,7 @@ fn region_args() -> Vec<RegionArg> {
 /// Round-robin placement strictly rotates over the fleet.
 #[test]
 fn round_robin_rotates() {
-    let mut host = Host::new(quick(), 3);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 3);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();
@@ -56,8 +55,7 @@ fn round_robin_rotates() {
 /// launches, breaking ties toward fewer executed cycles.
 #[test]
 fn least_loaded_balances() {
-    let mut host = Host::new(quick(), 2);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 2);
     host.set_policy(SchedPolicy::LeastLoaded);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
@@ -96,8 +94,7 @@ fn least_loaded_balances() {
 /// config misses.
 #[test]
 fn compile_cache_eliminates_recompiles() {
-    let mut host = Host::new(quick(), 1);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 1);
     let a = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();
@@ -131,8 +128,7 @@ fn compile_cache_eliminates_recompiles() {
 #[test]
 fn two_device_sharding_is_bit_identical() {
     let run = |devices: usize| -> (Vec<Vec<u64>>, Vec<Option<Vec<u8>>>) {
-        let mut host = Host::new(quick(), devices);
-        host.set_worker_threads(1);
+        let mut host = Host::new(quick_seq(), devices);
         let img = host
             .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
             .unwrap();
@@ -172,8 +168,7 @@ fn two_device_sharding_is_bit_identical() {
 /// identical regions allocate nothing new.
 #[test]
 fn pool_reuses_across_regions() {
-    let mut host = Host::new(quick(), 1);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 1);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();
@@ -199,8 +194,7 @@ fn pool_reuses_across_regions() {
 /// completed cycles, so a fresh region landed on top of the backlog.
 #[test]
 fn least_loaded_sees_queued_transfer_backlog() {
-    let mut host = Host::new(quick(), 2);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 2);
     host.set_policy(SchedPolicy::LeastLoaded);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
@@ -234,8 +228,7 @@ fn least_loaded_sees_queued_transfer_backlog() {
 /// public surface the serving layer reports from.
 #[test]
 fn stats_snapshot_matches_individual_accessors() {
-    let mut host = Host::new(quick(), 2);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 2);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();

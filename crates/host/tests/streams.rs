@@ -8,7 +8,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{input, quick, scale_add_app, scale_add_expected};
+use common::{input, quick, quick_seq, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, MapKind, MapSpec, RegionArg, StreamError};
 use nzomp_vgpu::device::Launch;
@@ -27,8 +27,7 @@ fn launch() -> Launch {
 /// Run the scale-add region on a fresh host and return every observable:
 /// output bits, kernel metrics, device global image.
 fn run_once(streams: usize, drain_seed: u64, eager: bool) -> (Vec<u64>, nzomp_vgpu::KernelMetrics, Vec<u8>) {
-    let mut host = Host::new(quick(), 1);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 1);
     host.set_drain_seed(drain_seed);
     host.set_eager(eager);
     let img = host
@@ -197,8 +196,7 @@ fn unknown_handles_are_typed() {
 /// trap in the ticket; the result readback never runs.
 #[test]
 fn trap_aborts_drain_and_lands_in_ticket() {
-    let mut host = Host::new(quick(), 1);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 1);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();
@@ -233,8 +231,7 @@ fn trap_aborts_drain_and_lands_in_ticket() {
 /// upload.
 #[test]
 fn nested_data_environments_transfer_at_outermost_exit_only() {
-    let mut host = Host::new(quick(), 1);
-    host.set_worker_threads(1);
+    let mut host = Host::new(quick_seq(), 1);
     let img = host
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();

@@ -46,7 +46,7 @@ use nzomp_host::{
 };
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DeviceConfig, ExecTier, RtVal};
+use nzomp_vgpu::{DeviceConfig, RtVal};
 
 pub use metrics::ServeMetrics;
 pub use outcome::{Outcome, RejectReason, ServeError};
@@ -116,6 +116,8 @@ pub struct RequestSpec {
 pub struct ServeConfig {
     /// Devices in the fleet.
     pub devices: usize,
+    /// Shape of every device, including its execution tier and worker
+    /// count; failover replacements are built from it too.
     pub dev_cfg: DeviceConfig,
     /// Placement policy over non-quarantined slots.
     pub policy: SchedPolicy,
@@ -124,11 +126,6 @@ pub struct ServeConfig {
     pub global_max_in_flight: usize,
     /// Seeds the fairness cursor and the host's stream-drain schedule.
     pub seed: u64,
-    /// Pin every device's worker-thread count (the `NZOMP_VGPU_THREADS`
-    /// axis); `None` leaves env resolution in charge.
-    pub worker_threads: Option<usize>,
-    /// Pin every device's execution tier (the `NZOMP_EXEC_TIER` axis).
-    pub exec_tier: Option<ExecTier>,
 }
 
 impl ServeConfig {
@@ -139,8 +136,6 @@ impl ServeConfig {
             policy: SchedPolicy::LeastLoaded,
             global_max_in_flight: 64,
             seed: 0x5e12_7e00,
-            worker_threads: None,
-            exec_tier: None,
         }
     }
 }
@@ -190,12 +185,6 @@ impl Serve {
         let mut host = Host::new(cfg.dev_cfg.clone(), cfg.devices);
         host.set_policy(cfg.policy);
         host.set_drain_seed(cfg.seed);
-        if let Some(w) = cfg.worker_threads {
-            host.set_worker_threads(w);
-        }
-        if let Some(t) = cfg.exec_tier {
-            host.set_exec_tier(t);
-        }
         let stream = host.stream();
         let devices = cfg.devices;
         Serve {

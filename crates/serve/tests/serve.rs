@@ -126,7 +126,7 @@ fn div_req(module: &Rc<Module>, divisor: i64) -> RequestSpec {
 fn cfg(devices: usize) -> ServeConfig {
     let mut c = ServeConfig::new(devices);
     c.dev_cfg = quick();
-    c.worker_threads = Some(1);
+    c.dev_cfg.worker_threads = 1;
     c
 }
 
@@ -458,14 +458,14 @@ fn trace_replays_bit_identically_across_axes() {
 
     // Worker-count axis.
     let mut w8 = base.clone();
-    w8.worker_threads = Some(8);
+    w8.dev_cfg.worker_threads = 8;
     assert_eq!(one, replay(&trace, &w8).unwrap(), "replay differs across worker counts");
 
     // Exec-tier axis.
     let mut interp = base.clone();
-    interp.exec_tier = Some(ExecTier::Interp);
+    interp.dev_cfg.exec_tier = ExecTier::Interp;
     let mut bytecode = base.clone();
-    bytecode.exec_tier = Some(ExecTier::Bytecode);
+    bytecode.dev_cfg.exec_tier = ExecTier::Bytecode;
     assert_eq!(
         replay(&trace, &interp).unwrap(),
         replay(&trace, &bytecode).unwrap(),

@@ -6,6 +6,7 @@
 //! impact on the simulated kernel time, which is what makes the Fig. 10–13
 //! shapes reproducible.
 
+use crate::exec::ExecTier;
 use crate::memory::Segment;
 
 /// Per-operation cycle charges.
@@ -91,7 +92,7 @@ pub struct DeviceConfig {
     pub clock_ghz: f64,
     /// Device heap size in bytes.
     pub heap_bytes: u64,
-    /// Interpreter step budget per launch (runaway guard).
+    /// Step budget per launch (runaway guard).
     pub max_steps: u64,
     /// Verify `assume` operands and run debug-only runtime paths. Mirrors
     /// the paper's debug builds (§III-G): assumptions become assertions.
@@ -106,9 +107,14 @@ pub struct DeviceConfig {
     pub latency_penalty: f64,
     /// Host worker threads used to execute teams of a wave concurrently.
     /// `0` defers to `NZOMP_VGPU_THREADS` (default 1); `1` runs the exact
-    /// sequential interpreter code path. Results are bit-identical at any
-    /// setting — see `docs/parallel-vgpu.md`.
+    /// sequential code path. Results are bit-identical at any setting —
+    /// see `docs/parallel-vgpu.md`.
     pub worker_threads: u32,
+    /// Execution tier of every launch. `Bytecode` (the default) is the
+    /// production tier; `Interp` is the reference oracle it is diffed
+    /// against. Results are bit-identical on either tier — see
+    /// `docs/exec-tiers.md`.
+    pub exec_tier: ExecTier,
     /// Arm the data-race & barrier-divergence sanitizer. `false` (the
     /// default) additionally consults `NZOMP_SANITIZE` (`1`/`true` = on,
     /// `strict` = on + turn findings into a trap). Sanitizing never
@@ -131,6 +137,7 @@ impl Default for DeviceConfig {
             check_assumes: true,
             latency_penalty: 8.0,
             worker_threads: 0,
+            exec_tier: ExecTier::Bytecode,
             sanitize: false,
         }
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use nzomp_ir::analysis::liveness;
-use nzomp_ir::{Module, Space, Ty};
+use nzomp_ir::{Module, Space};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{CostModel, DeviceConfig};
@@ -43,21 +43,6 @@ fn resolve_workers(config_value: u32) -> usize {
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// Resolve the execution tier from `NZOMP_EXEC_TIER` (`interp` or
-/// `bytecode`); default is the reference interpreter. An explicit
-/// [`Device::set_exec_tier`] call overrides the load-time resolution,
-/// mirroring [`resolve_workers`].
-fn resolve_exec_tier() -> ExecTier {
-    match std::env::var("NZOMP_EXEC_TIER")
-        .ok()
-        .as_deref()
-        .map(str::trim)
-    {
-        Some(v) if v.eq_ignore_ascii_case("bytecode") => ExecTier::Bytecode,
-        _ => ExecTier::Interp,
-    }
 }
 
 /// Resolve `(sanitize, strict)`: an explicit config opt-in wins;
@@ -108,8 +93,8 @@ pub struct Device {
     constant: Region,
     heap: HeapState,
     /// Armed fault-injection plan applied to every subsequent launch
-    /// (`None` in production: the interpreter hot loop then performs a
-    /// single always-false compare per instruction).
+    /// (`None` in production: the dispatch loop of either tier then
+    /// performs a single always-false compare per instruction).
     faults: Option<FaultPlan>,
     /// Host worker threads for parallel team execution (`1` = the exact
     /// sequential code path). Resolved at load from
@@ -144,10 +129,10 @@ pub struct Device {
     /// Host-imposed launch watchdog: caps the fuel budget of every launch
     /// at `min(watchdog, plan-or-config budget)`. `None` in production.
     watchdog_fuel: Option<u64>,
-    /// Execution tier for subsequent launches. Resolved at load from
-    /// `NZOMP_EXEC_TIER`; [`Device::set_exec_tier`] overrides. Both tiers
-    /// are bit-identical in every observable (memory image, metrics,
-    /// traps, sanitizer verdicts) — see `docs/exec-tiers.md`.
+    /// Execution tier for subsequent launches. Taken at load from
+    /// `DeviceConfig::exec_tier`; [`Device::set_exec_tier`] overrides.
+    /// Both tiers are bit-identical in every observable (memory image,
+    /// metrics, traps, sanitizer verdicts) — see `docs/exec-tiers.md`.
     tier: ExecTier,
     /// Lazily lowered bytecode image. A pure function of the loaded
     /// module and the fixed global layout, so it is computed at most once
@@ -221,6 +206,7 @@ impl Device {
         };
         let workers = resolve_workers(config.worker_threads);
         let (sanitize, san_strict) = resolve_sanitize(config.sanitize);
+        let tier = config.exec_tier;
         let suppress_shared: Vec<(u64, u64)> = module
             .globals
             .iter()
@@ -257,13 +243,13 @@ impl Device {
             dev_sites_fired: Vec::new(),
             lost: false,
             watchdog_fuel: None,
-            tier: resolve_exec_tier(),
+            tier,
             bc: None,
         }
     }
 
     /// Select the execution tier for subsequent launches (overrides the
-    /// load-time `NZOMP_EXEC_TIER` resolution). Switching tiers never
+    /// load-time `DeviceConfig::exec_tier`). Switching tiers never
     /// changes any observable launch outcome.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
@@ -284,9 +270,9 @@ impl Device {
     }
 
     /// Set the number of host worker threads used to execute the teams of
-    /// a wave concurrently. `1` runs the exact sequential interpreter code
-    /// path; any `n` produces bit-identical results (memory, metrics,
-    /// traps) — see `docs/parallel-vgpu.md` for the contract.
+    /// a wave concurrently. `1` runs the exact sequential code path; any
+    /// `n` produces bit-identical results (memory, metrics, traps) — see
+    /// `docs/parallel-vgpu.md` for the contract.
     pub fn set_worker_threads(&mut self, n: usize) {
         self.workers = n.max(1);
     }
@@ -636,10 +622,6 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        // Pointer args must not be dangling-typed; only count check above
-        // (the IR is untyped enough that the kernel will trap if wrong).
-        let _ = func.params.iter().map(|t| matches!(t, Ty::Ptr)).count();
-
         // Registers are allocated for the whole call tree on a GPU (no real
         // call stack): take the maximum over every function reachable from
         // the kernel.
@@ -782,10 +764,10 @@ impl Device {
         })
     }
 
-    /// The sequential interpreter path: teams run one after another,
-    /// write-through to the master region, with the shared fuel budget
-    /// threaded team to team. `worker_threads == 1` takes exactly this
-    /// path — it is the semantic reference the parallel engine must match.
+    /// The sequential path: teams run one after another, write-through to
+    /// the master region, with the shared fuel budget threaded team to
+    /// team. `worker_threads == 1` takes exactly this path — it is the
+    /// semantic reference the parallel engine must match.
     #[allow(clippy::too_many_arguments)]
     fn run_teams_sequential(
         &mut self,

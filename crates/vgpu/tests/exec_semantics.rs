@@ -1,11 +1,12 @@
-//! Instruction-level semantics of the interpreter: each operator class,
-//! trap conditions, counters and occupancy bookkeeping.
+//! Instruction-level semantics of the vGPU on its default (bytecode)
+//! tier: each operator class, trap conditions, counters and occupancy
+//! bookkeeping, plus the tier the configuration selects.
 
 use nzomp_ir::{
     BinOp, CastKind, ExecMode, FuncBuilder, Module, Operand, Pred, Ty, UnOp,
 };
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal, TrapKind};
+use nzomp_vgpu::{Device, DeviceConfig, ExecTier, RtVal, TrapKind};
 
 /// Run a single-thread kernel computing one i64 and storing it to out[0].
 fn run_i64(build: impl FnOnce(&mut FuncBuilder) -> Operand) -> i64 {
@@ -46,6 +47,38 @@ fn run_trap(build: impl FnOnce(&mut FuncBuilder)) -> TrapKind {
     m.add_kernel(f, ExecMode::Spmd);
     let mut dev = Device::load(m, DeviceConfig::default());
     dev.launch("k", Launch::new(1, 1), &[]).unwrap_err().kind
+}
+
+/// `DeviceConfig::default()` selects the bytecode tier; a config asking
+/// for the interpreter gets it, and both run the kernel identically.
+#[test]
+fn config_selects_exec_tier_with_bytecode_default() {
+    let mut m = Module::new("t");
+    let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let v = b.mul(Operand::i64(-3), Operand::i64(4));
+    b.store(Ty::I64, b.param(0), v);
+    b.ret(None);
+    let f = m.add_function(b.finish());
+    m.add_kernel(f, ExecMode::Spmd);
+    let interp_cfg = DeviceConfig {
+        exec_tier: ExecTier::Interp,
+        ..DeviceConfig::default()
+    };
+    let mut runs = Vec::new();
+    for (cfg, tier) in [
+        (DeviceConfig::default(), ExecTier::Bytecode),
+        (interp_cfg, ExecTier::Interp),
+    ] {
+        let mut dev = Device::load(m.clone(), cfg);
+        assert_eq!(dev.exec_tier(), tier);
+        let out = dev.alloc(8);
+        let metrics = dev
+            .launch("k", Launch::new(1, 1), &[RtVal::P(out)])
+            .unwrap();
+        runs.push((dev.read_i64(out, 1).unwrap()[0], metrics));
+    }
+    assert_eq!(runs[0].0, -12);
+    assert_eq!(runs[0], runs[1]);
 }
 
 #[test]

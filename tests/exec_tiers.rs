@@ -152,9 +152,12 @@ fn host_recovery_replays_on_the_pinned_tier() {
     for seed in [11u64, 23, 47, 91] {
         let mut outcomes = Vec::new();
         for tier in TIERS {
-            let mut host = Host::new(quick_device(), 2);
-            host.set_worker_threads(1);
-            host.set_exec_tier(tier);
+            let dev_cfg = DeviceConfig {
+                worker_threads: 1,
+                exec_tier: tier,
+                ..quick_device()
+            };
+            let mut host = Host::new(dev_cfg, 2);
             host.set_recovery(Some(RecoveryPolicy {
                 max_failovers: 16,
                 ..RecoveryPolicy::default()

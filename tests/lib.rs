@@ -12,7 +12,7 @@ pub mod gen;
 use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, StreamId};
 use nzomp_proxies::{build_for_config, compile_for_config, quick_device, HostShape, Proxy};
-use nzomp_vgpu::{Device, ExecError, FaultPlan, KernelMetrics};
+use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan, KernelMetrics};
 
 /// Everything observable about one proxy launch. `PartialEq` makes
 /// "bit-identical" a one-line assertion: metrics compare field by field
@@ -91,10 +91,13 @@ pub fn run_proxy_host_outcome(
     fault_seed: Option<u64>,
     shape: &HostShape,
 ) -> ProxyOutcome {
-    let mut host = Host::new(quick_device(), shape.devices);
+    let dev_cfg = DeviceConfig {
+        worker_threads: workers as u32,
+        ..quick_device()
+    };
+    let mut host = Host::new(dev_cfg, shape.devices);
     host.set_policy(shape.policy);
     host.set_drain_seed(shape.drain_seed);
-    host.set_worker_threads(workers);
     let img = host.load_image(build_for_config(p, cfg), cfg).unwrap();
     let hp = p.host_prepare();
     let out_arg = hp.out_arg;

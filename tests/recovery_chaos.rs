@@ -10,7 +10,7 @@ use nzomp::BuildConfig;
 use nzomp_host::{Host, RecoveryPolicy, SchedPolicy, StreamId};
 use nzomp_integration::{run_proxy_outcome, ProxyOutcome};
 use nzomp_proxies::{all_proxies, build_for_config, quick_device, Proxy};
-use nzomp_vgpu::FaultPlan;
+use nzomp_vgpu::{DeviceConfig, FaultPlan};
 
 /// Mix a device index into a campaign seed so every fleet member runs a
 /// distinct (but reproducible) fault schedule.
@@ -29,9 +29,12 @@ fn run_recovered(
     seed: u64,
 ) -> (ProxyOutcome, nzomp_host::RecoveryMetrics) {
     let cfg = BuildConfig::NewRtNoAssumptions;
-    let mut host = Host::new(quick_device(), devices);
+    let dev_cfg = DeviceConfig {
+        worker_threads: 1,
+        ..quick_device()
+    };
+    let mut host = Host::new(dev_cfg, devices);
     host.set_policy(policy);
-    host.set_worker_threads(1);
     // Generous failover budget: a campaign may kill a replacement's
     // predecessor several times over (sites re-fire per plan, devices
     // don't — replacements are healthy).

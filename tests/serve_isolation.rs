@@ -3,7 +3,8 @@
 //! allocations and can never observe each other's bytes, and quota
 //! exhaustion in one tenant leaves every other tenant's in-flight work
 //! untouched. Runs — like the whole workspace — under both
-//! `NZOMP_VGPU_THREADS` axes and `NZOMP_EXEC_TIER=bytecode` in CI.
+//! `NZOMP_VGPU_THREADS` axes in CI, on the default bytecode tier, and
+//! pins the interpreter as the replay reference below.
 
 use std::rc::Rc;
 
@@ -238,9 +239,9 @@ fn tenant_memory_images_replay_bit_identically() {
     assert!(one.session_images.iter().all(|t| !t.is_empty()));
 
     let mut w1 = base.clone();
-    w1.worker_threads = Some(1);
+    w1.dev_cfg.worker_threads = 1;
     let mut w8 = base.clone();
-    w8.worker_threads = Some(8);
+    w8.dev_cfg.worker_threads = 8;
     assert_eq!(
         replay(&trace, &w1).unwrap(),
         replay(&trace, &w8).unwrap(),
@@ -248,9 +249,9 @@ fn tenant_memory_images_replay_bit_identically() {
     );
 
     let mut interp = base.clone();
-    interp.exec_tier = Some(nzomp_vgpu::ExecTier::Interp);
+    interp.dev_cfg.exec_tier = nzomp_vgpu::ExecTier::Interp;
     let mut bytecode = base.clone();
-    bytecode.exec_tier = Some(nzomp_vgpu::ExecTier::Bytecode);
+    bytecode.dev_cfg.exec_tier = nzomp_vgpu::ExecTier::Bytecode;
     assert_eq!(
         replay(&trace, &interp).unwrap(),
         replay(&trace, &bytecode).unwrap(),
