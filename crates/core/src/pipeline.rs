@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use nzomp_ir::link::LinkError;
 use nzomp_ir::verify::VerifyError;
@@ -22,8 +23,9 @@ use crate::config::BuildConfig;
 
 /// Result of compiling an application module under a configuration.
 pub struct CompileOutput {
-    /// The linked, optimized device image.
-    pub module: Module,
+    /// The linked, optimized device image. Shared (not copied) with every
+    /// device prepared from it.
+    pub module: Arc<Module>,
     /// Optimization remarks (`-Rpass[-missed]=openmp-opt`).
     pub remarks: Remarks,
     /// Per-pass profile and analysis-cache counters from the optimizer
@@ -118,7 +120,7 @@ pub fn compile_with(
     nzomp_ir::verify_module(&app)
         .map_err(|err| CompileError::Verify { stage: "optimization", err })?;
     Ok(CompileOutput {
-        module: app,
+        module: Arc::new(app),
         remarks,
         timings,
     })
@@ -126,16 +128,34 @@ pub fn compile_with(
 
 /// Structural fingerprint of a module: FNV-1a over its printed IR. Two
 /// modules with the same print are the same compilation input, so the
-/// fingerprint keys the [`CompileCache`] (and the per-device kernel-image
-/// registries built on top of it in `nzomp-host`).
+/// fingerprint buckets the [`CompileCache`]; equal printed IR decides a
+/// match within the bucket.
 pub fn module_fingerprint(m: &Module) -> u64 {
-    let text = nzomp_ir::printer::print_module(m);
+    fnv1a(nzomp_ir::printer::print_module(m).as_bytes())
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// One compiled image and the application module it was compiled from.
+struct CacheEntry {
+    /// The caller's `Rc`, kept when the caller still held a handle to it
+    /// — only then can the same `Rc` be presented again. Holding it keeps
+    /// its address from being reused by another module. A module the
+    /// caller gave away is compiled in place and not kept.
+    shared: Option<Rc<Module>>,
+    /// The printed IR of the source: what the fingerprint hashes, and
+    /// what a fingerprint match must equal.
+    text: String,
+    fingerprint: u64,
+    config: BuildConfig,
+    out: Rc<CompileOutput>,
 }
 
 /// Memoized compile pipeline: repeated compilations of the same
@@ -145,9 +165,12 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// This is the host runtime's recompile eliminator: every launch of an
 /// already-registered kernel image must cost a table lookup, not an
 /// optimizer run (the `offload_overhead` bench asserts the hit counter).
+/// A lookup first matches the very same `Rc<Module>` (a pointer compare,
+/// no print, no clone); only a module it has not seen by identity is
+/// printed, fingerprinted and compared by its printed IR.
 #[derive(Default)]
 pub struct CompileCache {
-    entries: Vec<(u64, BuildConfig, Rc<CompileOutput>)>,
+    entries: Vec<CacheEntry>,
     /// Compilations served from the cache.
     pub hits: u64,
     /// Compilations that ran the real pipeline.
@@ -160,24 +183,45 @@ impl CompileCache {
     }
 
     /// Compile `app` under `config`, reusing a previous output when the
-    /// `(fingerprint, config)` pair was seen before.
+    /// same module — by identity, or else by fingerprint and equal
+    /// printed IR — was compiled under `config` before.
     pub fn compile(
         &mut self,
-        app: Module,
+        app: impl Into<Rc<Module>>,
         config: BuildConfig,
     ) -> Result<Rc<CompileOutput>, CompileError> {
-        let fp = module_fingerprint(&app);
-        if let Some((_, _, out)) = self
+        let app = app.into();
+        let by_identity = self.entries.iter().find(|e| {
+            e.config == config && e.shared.as_ref().is_some_and(|s| Rc::ptr_eq(s, &app))
+        });
+        if let Some(e) = by_identity {
+            self.hits += 1;
+            return Ok(Rc::clone(&e.out));
+        }
+        let mut text = nzomp_ir::printer::print_module(&app);
+        let fingerprint = fnv1a(text.as_bytes());
+        let by_content = self
             .entries
             .iter()
-            .find(|(f, c, _)| *f == fp && *c == config)
-        {
+            .find(|e| e.fingerprint == fingerprint && e.config == config && e.text == text);
+        if let Some(e) = by_content {
             self.hits += 1;
-            return Ok(Rc::clone(out));
+            return Ok(Rc::clone(&e.out));
         }
         self.misses += 1;
-        let out = Rc::new(compile(app, config)?);
-        self.entries.push((fp, config, Rc::clone(&out)));
+        let (module, shared) = match Rc::try_unwrap(app) {
+            Ok(m) => (m, None),
+            Err(shared) => ((*shared).clone(), Some(shared)),
+        };
+        let out = Rc::new(compile(module, config)?);
+        text.shrink_to_fit();
+        self.entries.push(CacheEntry {
+            shared,
+            text,
+            fingerprint,
+            config,
+            out: Rc::clone(&out),
+        });
         Ok(out)
     }
 
@@ -188,5 +232,58 @@ impl CompileCache {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nzomp_ir::{ExecMode, FuncBuilder, Operand, Ty};
+
+    /// A one-kernel application module whose kernel stores `value`.
+    fn app(name: &str, value: i64) -> Module {
+        let mut m = Module::new(name);
+        let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+        let p = b.param(0);
+        b.store(Ty::I64, p, Operand::i64(value));
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.add_kernel(f, ExecMode::Spmd);
+        m
+    }
+
+    #[test]
+    fn fingerprint_collision_misses_and_compiles_the_new_module() {
+        let config = BuildConfig::Cuda;
+        let (a, b) = (app("a", 1), app("b", 2));
+        assert_ne!(a, b);
+        let mut cache = CompileCache::new();
+        let planted = cache.compile(a.clone(), config).unwrap();
+        // Plant A's output under B's fingerprint: a 64-bit collision.
+        cache.entries.push(CacheEntry {
+            shared: None,
+            text: nzomp_ir::printer::print_module(&a),
+            fingerprint: module_fingerprint(&b),
+            config,
+            out: Rc::clone(&planted),
+        });
+        let (hits, misses) = (cache.hits, cache.misses);
+        let out = cache.compile(b.clone(), config).unwrap();
+        assert!(!Rc::ptr_eq(&out, &planted), "collision returned the planted image");
+        assert_eq!((cache.hits, cache.misses), (hits, misses + 1));
+        let expected = compile(b, config).unwrap();
+        assert_eq!(*out.module, *expected.module);
+    }
+
+    #[test]
+    fn identity_and_content_lookups_hit() {
+        let config = BuildConfig::Cuda;
+        let mut cache = CompileCache::new();
+        let src = Rc::new(app("a", 1));
+        let first = cache.compile(Rc::clone(&src), config).unwrap();
+        let again = cache.compile(Rc::clone(&src), config).unwrap();
+        let by_content = cache.compile((*src).clone(), config).unwrap();
+        assert!(Rc::ptr_eq(&first, &again) && Rc::ptr_eq(&first, &by_content));
+        assert_eq!((cache.hits, cache.misses, cache.len()), (2, 1, 1));
     }
 }

@@ -119,6 +119,12 @@ pub enum HostError {
     UnknownImage(u32),
     /// A launch argument named a host buffer id that was never registered.
     UnknownBuffer(u32),
+    /// A host buffer id used after [`crate::Host::release_buffer`] freed
+    /// it. Ids are never reused, so a stale handle always lands here.
+    ReleasedBuffer(u32),
+    /// [`crate::Host::release_buffer`] on a buffer that is still mapped on
+    /// `device` or named by an operation queued for it.
+    BufferInUse { buf: u32, device: usize },
     /// The host launch watchdog fired: the kernel made no progress within
     /// `fuel` modeled steps. Transient by classification — a stall can be
     /// contention, so the recovery policy retries before surfacing.
@@ -168,6 +174,8 @@ impl HostError {
             | HostError::NoDevice { .. }
             | HostError::UnknownImage(_)
             | HostError::UnknownBuffer(_)
+            | HostError::ReleasedBuffer(_)
+            | HostError::BufferInUse { .. }
             | HostError::Replay(_) => ErrorClass::Program,
         }
     }
@@ -198,6 +206,10 @@ impl fmt::Display for HostError {
             }
             HostError::UnknownImage(i) => write!(f, "unknown kernel image {i}"),
             HostError::UnknownBuffer(b) => write!(f, "unknown host buffer {b}"),
+            HostError::ReleasedBuffer(b) => write!(f, "host buffer {b} was released"),
+            HostError::BufferInUse { buf, device } => {
+                write!(f, "host buffer {buf} is still in use on device {device}")
+            }
             HostError::Watchdog { kernel, fuel } => write!(
                 f,
                 "watchdog: kernel @{kernel} made no progress within {fuel} steps"

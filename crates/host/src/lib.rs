@@ -36,12 +36,13 @@ pub mod stream;
 
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use nzomp::{BuildConfig, CompileCache, CompileOutput};
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
-use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan, KernelMetrics, RtVal};
+use nzomp_vgpu::{Device, DeviceConfig, DeviceImage, ExecError, FaultPlan, KernelMetrics, RtVal};
 
 pub use error::{ErrorClass, HostError, MapError, StreamError};
 pub use map::{BufId, MapKind, MapSpec, PresentTable};
@@ -174,9 +175,13 @@ pub struct Host {
     rr_next: usize,
 
     cache: CompileCache,
-    images: Vec<Rc<CompileOutput>>,
+    /// Per `ImageId`: the compile output and the device image prepared
+    /// from it once, which every bind and failover replacement shares.
+    images: Vec<(Rc<CompileOutput>, Arc<DeviceImage>)>,
 
-    bufs: Vec<Vec<u8>>,
+    /// Host buffers by `BufId`; `None` once released (ids are never
+    /// reused).
+    bufs: Vec<Option<Vec<u8>>>,
     streams: Vec<VecDeque<Op>>,
     events: Vec<bool>,
     tickets: Vec<Option<Result<KernelMetrics, ExecError>>>,
@@ -245,13 +250,21 @@ impl Host {
     // ---- image registry -------------------------------------------------
 
     /// Compile `app` under `config` (or reuse the cached image when this
-    /// module/config pair was compiled before) and register it.
-    pub fn load_image(&mut self, app: Module, config: BuildConfig) -> Result<ImageId, HostError> {
+    /// module/config pair was compiled before) and register it. Passing
+    /// the same `Rc<Module>` again hits by identity without printing or
+    /// copying the module; a new image gets its [`DeviceImage`] here,
+    /// once.
+    pub fn load_image(
+        &mut self,
+        app: impl Into<Rc<Module>>,
+        config: BuildConfig,
+    ) -> Result<ImageId, HostError> {
         let out = self.cache.compile(app, config)?;
-        if let Some(i) = self.images.iter().position(|o| Rc::ptr_eq(o, &out)) {
+        if let Some(i) = self.images.iter().position(|(o, _)| Rc::ptr_eq(o, &out)) {
             return Ok(ImageId(i as u32));
         }
-        self.images.push(out);
+        let image = Arc::new(DeviceImage::new(Arc::clone(&out.module)));
+        self.images.push((out, image));
         Ok(ImageId((self.images.len() - 1) as u32))
     }
 
@@ -264,21 +277,27 @@ impl Host {
 
     /// The compiled image (module + remarks + pass timings) behind an id.
     pub fn image(&self, img: ImageId) -> Option<&CompileOutput> {
-        self.images.get(img.0 as usize).map(|o| o.as_ref())
+        self.images.get(img.0 as usize).map(|(o, _)| o.as_ref())
+    }
+
+    /// The prepared device image behind an id, shared by every device
+    /// bound to it.
+    fn device_image(&self, img: ImageId) -> Result<Arc<DeviceImage>, HostError> {
+        self.images
+            .get(img.0 as usize)
+            .map(|(_, d)| Arc::clone(d))
+            .ok_or(HostError::UnknownImage(img.0))
     }
 
     /// Ensure device slot `dev` runs image `img`, (re)creating the device
     /// if the slot is empty or held a different image. A reload resets
-    /// the slot's present table, pool, and journal (fresh device memory).
-    /// Binding revives a quarantined slot — the explicit opt-in to reuse
-    /// a retired slot after the fleet degraded.
+    /// the slot's present table, pool, and journal (fresh device memory);
+    /// the image itself is prepared once and shared. Binding revives a
+    /// quarantined slot — the explicit opt-in to reuse a retired slot
+    /// after the fleet degraded.
     pub fn bind_image(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
         let devices = self.slots.len();
-        let out = self
-            .images
-            .get(img.0 as usize)
-            .ok_or(HostError::UnknownImage(img.0))?
-            .clone();
+        let image = self.device_image(img)?;
         let slot = self
             .slots
             .get(dev)
@@ -286,7 +305,7 @@ impl Host {
         if slot.image == Some(img) && slot.dev.is_some() && !slot.quarantined {
             return Ok(());
         }
-        let d = self.new_device(&out.module, &slot.device_plan);
+        let d = self.new_device(image, &slot.device_plan);
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.image = Some(img);
@@ -300,7 +319,7 @@ impl Host {
     // ---- host buffers ---------------------------------------------------
 
     pub fn register_bytes(&mut self, bytes: Vec<u8>) -> BufId {
-        self.bufs.push(bytes);
+        self.bufs.push(Some(bytes));
         BufId((self.bufs.len() - 1) as u32)
     }
 
@@ -317,10 +336,46 @@ impl Host {
     }
 
     pub fn buf_bytes(&self, b: BufId) -> Result<&[u8], HostError> {
-        self.bufs
-            .get(b.0 as usize)
-            .map(|v| v.as_slice())
-            .ok_or(HostError::UnknownBuffer(b.0))
+        match self.bufs.get(b.0 as usize) {
+            Some(Some(v)) => Ok(v),
+            Some(None) => Err(HostError::ReleasedBuffer(b.0)),
+            None => Err(HostError::UnknownBuffer(b.0)),
+        }
+    }
+
+    fn buf_mut(&mut self, b: BufId) -> Result<&mut Vec<u8>, HostError> {
+        match self.bufs.get_mut(b.0 as usize) {
+            Some(Some(v)) => Ok(v),
+            Some(None) => Err(HostError::ReleasedBuffer(b.0)),
+            None => Err(HostError::UnknownBuffer(b.0)),
+        }
+    }
+
+    /// Free a host buffer's storage. The id is never reused: any later
+    /// use of it is [`HostError::ReleasedBuffer`]. A buffer still mapped
+    /// on a device, or named by a queued transfer, is
+    /// [`HostError::BufferInUse`] and stays registered.
+    pub fn release_buffer(&mut self, b: BufId) -> Result<(), HostError> {
+        self.buf_bytes(b)?;
+        let mapped = self
+            .slots
+            .iter()
+            .position(|s| s.table.entries().iter().any(|e| e.buf == b));
+        let queued = || {
+            self.streams.iter().flatten().find_map(|op| match op {
+                Op::MemcpyTo { dev, buf, .. } | Op::MemcpyFrom { dev, buf, .. } if *buf == b => {
+                    Some(*dev)
+                }
+                _ => None,
+            })
+        };
+        if let Some(device) = mapped.or_else(queued) {
+            return Err(HostError::BufferInUse { buf: b.0, device });
+        }
+        if let Some(slot) = self.bufs.get_mut(b.0 as usize) {
+            *slot = None;
+        }
+        Ok(())
     }
 
     /// The buffer decoded as `f64`s (post-`sync` result readback).
@@ -763,10 +818,7 @@ impl Host {
             }
             Op::MemcpyFrom { dev, src, buf, off, len } => {
                 let bytes = self.loaded_dev(*dev)?.read_bytes(*src, *len as usize)?;
-                let b = self
-                    .bufs
-                    .get_mut(buf.0 as usize)
-                    .ok_or(HostError::UnknownBuffer(buf.0))?;
+                let b = self.buf_mut(*buf)?;
                 b[*off as usize..(*off + *len) as usize].copy_from_slice(&bytes);
                 if journaling {
                     self.slot_mut(*dev)?.journal.push(JEffect::ReadBack {
@@ -918,12 +970,8 @@ impl Host {
         let Some(img) = slot_img else {
             return Err(HostError::Replay("failover on a slot with no image".to_string()));
         };
-        let out = self
-            .images
-            .get(img.0 as usize)
-            .ok_or(HostError::UnknownImage(img.0))?
-            .clone();
-        let d = self.new_device(&out.module, &None);
+        let image = self.device_image(img)?;
+        let d = self.new_device(image, &None);
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.device_plan = None;
@@ -995,15 +1043,18 @@ impl Host {
                     }
                 }
                 JEffect::ReadBack { src, buf, off, len } => {
+                    // The device read always runs, so the replacement's
+                    // op clock ticks as the original's did; a buffer the
+                    // caller has since released just takes no copy.
                     let bytes = self
                         .loaded_dev(dev)?
                         .read_bytes(src, len as usize)
                         .map_err(|e| HostError::Replay(format!("readback diverged: {e}")))?;
-                    let b = self
-                        .bufs
-                        .get_mut(buf.0 as usize)
-                        .ok_or(HostError::UnknownBuffer(buf.0))?;
-                    b[off as usize..(off + len) as usize].copy_from_slice(&bytes);
+                    match self.buf_mut(buf) {
+                        Ok(b) => b[off as usize..(off + len) as usize].copy_from_slice(&bytes),
+                        Err(HostError::ReleasedBuffer(_)) => {}
+                        Err(e) => return Err(e),
+                    }
                 }
             }
         }
@@ -1194,12 +1245,13 @@ impl Host {
         }
     }
 
-    /// Build a device for `module`: the host's `DeviceConfig` (tier and
+    /// Build a device for `image`: the host's `DeviceConfig` (tier and
     /// worker count included), then the host-wide fault plan merged with
     /// `device_plan`, then the watchdog. Bind and failover both create
-    /// devices here, so a replacement runs exactly like the original.
-    fn new_device(&self, module: &Module, device_plan: &Option<FaultPlan>) -> Device {
-        let mut d = Device::load(module.clone(), self.dev_cfg.clone());
+    /// devices here, so a replacement runs exactly like the original —
+    /// and on the same prepared image.
+    fn new_device(&self, image: Arc<DeviceImage>, device_plan: &Option<FaultPlan>) -> Device {
+        let mut d = Device::from_image(image, self.dev_cfg.clone());
         if let Some(p) = effective_plan(&self.fault_plan, device_plan) {
             d.set_fault_plan(p);
         }

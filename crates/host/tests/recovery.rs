@@ -362,3 +362,64 @@ fn failover_is_bit_identical_across_policies_and_fleets() {
         }
     }
 }
+
+/// Released host buffers: their ids stay dead (typed errors, never
+/// reused), a mapped buffer refuses release, and a failover whose
+/// journal still names a released read-back target recovers to the
+/// clean run.
+#[test]
+fn released_buffers_survive_failover_replay() {
+    // Two regions back to back; `fault` arms a device loss at the second
+    // region's launch, after the first region's buffers were released.
+    let two_regions = |fault: bool| {
+        let mut h = host(1);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        let s = h.stream();
+        let first = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+        h.sync().unwrap();
+        let first_out = h.buf_bits(first.bufs[1].unwrap()).unwrap();
+        for b in first.bufs.iter().flatten() {
+            h.release_buffer(*b).unwrap();
+        }
+        if fault {
+            // Ops 0-1 zero-fill the reused pool blocks, op 2 uploads the
+            // input, op 3 launches and finds the device gone.
+            h.set_device_faults(0, device_plan(&[(3, DeviceFaultKind::Lost)]))
+                .unwrap();
+        }
+        let second = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+        h.sync().unwrap();
+        let out = (
+            first_out,
+            h.buf_bits(second.bufs[1].unwrap()).unwrap(),
+            h.take_metrics(second.ticket).unwrap(),
+            h.device(0).unwrap().global_bytes().to_vec(),
+        );
+        (h, first, out)
+    };
+    let (_, _, clean) = two_regions(false);
+    let (mut h, first, recovered) = two_regions(true);
+    assert_eq!(h.recovery_metrics().failovers, 1);
+    assert_eq!(recovered, clean, "recovered run equals the clean one");
+    assert_eq!(clean.1, clean.0, "both regions compute the same output");
+
+    let dead = first.bufs[1].unwrap();
+    assert!(matches!(h.buf_bytes(dead), Err(HostError::ReleasedBuffer(b)) if b == dead.0));
+    assert!(matches!(h.release_buffer(dead), Err(HostError::ReleasedBuffer(_))));
+    let s = h.stream();
+    let spec = nzomp_host::MapSpec::whole(dead, 8, nzomp_host::MapKind::To);
+    assert!(matches!(h.data_enter(s, 0, &[spec]), Err(HostError::ReleasedBuffer(_))));
+    let fresh = h.register_zeros(8);
+    assert!(fresh.0 > dead.0, "ids are never reused");
+
+    let mapped = nzomp_host::MapSpec::whole(fresh, 8, nzomp_host::MapKind::Alloc);
+    h.data_enter(s, 0, &[mapped]).unwrap();
+    assert!(matches!(
+        h.release_buffer(fresh),
+        Err(HostError::BufferInUse { device: 0, .. })
+    ));
+    assert_eq!(h.buf_bytes(fresh).unwrap(), &[0u8; 8], "a refused release frees nothing");
+}

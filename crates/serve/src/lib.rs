@@ -15,8 +15,9 @@
 //!   the next tenant; [`nzomp_host::Host::pick_device`] (the `sched.rs`
 //!   policies, quarantine-aware) picks the device;
 //! * **single-flight compilation** — every dispatch goes through the
-//!   host's fingerprint-keyed compile cache, so N tenants submitting the
-//!   same module cost exactly one pipeline run;
+//!   host's compile cache (keyed by module identity, else fingerprint
+//!   plus equality), so N tenants submitting the same module cost
+//!   exactly one pipeline run;
 //! * **deterministic replay** — the engine is a single-threaded
 //!   simulation over modeled cycles: a recorded request trace replays
 //!   bit-identically (outcomes, session memory images, metrics) across
@@ -140,14 +141,20 @@ impl ServeConfig {
     }
 }
 
-/// A dispatched request awaiting its modeled completion: the prebuilt
-/// outcome plus what completing it must release.
-struct Active {
+/// What completing an admitted request must release and report.
+#[derive(Clone, Copy)]
+struct Job {
     req: ReqId,
     tenant: TenantId,
     /// Quota bytes reserved at admission, released at completion.
     bytes: u64,
     submitted_at: u64,
+}
+
+/// A dispatched request awaiting its modeled completion: the prebuilt
+/// outcome plus its job.
+struct Active {
+    job: Job,
     outcome: Outcome,
 }
 
@@ -159,8 +166,9 @@ pub struct Serve {
     host: Host,
     cfg: ServeConfig,
     sessions: Vec<Session>,
-    /// Admitted-but-undispatched specs by request id.
-    specs: Vec<Option<(TenantId, RequestSpec, u64, u64)>>,
+    /// Admitted-but-undispatched specs by request id; dispatch takes
+    /// each one out.
+    specs: Vec<Option<(RequestSpec, Job)>>,
     outcomes: Vec<Option<Outcome>>,
     /// Dispatched requests keyed by `(modeled finish cycle, dispatch
     /// sequence)` — the deterministic completion order.
@@ -361,7 +369,8 @@ impl Serve {
 
         self.metrics.admitted += 1;
         if let Some(slot) = self.specs.get_mut(req.0 as usize) {
-            *slot = Some((t, spec, now, needed));
+            let job = Job { req, tenant: t, bytes: needed, submitted_at: now };
+            *slot = Some((spec, job));
         }
         if let Some(s) = self.sessions.get_mut(t.0 as usize) {
             s.charge(needed);
@@ -420,13 +429,14 @@ impl Serve {
     }
 
     fn complete(&mut self, done: Active) {
-        if let Some(s) = self.sessions.get_mut(done.tenant.0 as usize) {
-            s.release(done.bytes);
+        let job = done.job;
+        if let Some(s) = self.sessions.get_mut(job.tenant.0 as usize) {
+            s.release(job.bytes);
             s.active = s.active.saturating_sub(1);
             match &done.outcome {
                 Outcome::Completed { finished, .. } => {
                     s.completed += 1;
-                    s.latencies.push(finished.saturating_sub(done.submitted_at));
+                    s.latencies.push(finished.saturating_sub(job.submitted_at));
                     self.metrics.completed += 1;
                 }
                 Outcome::Faulted { .. } => {
@@ -436,7 +446,7 @@ impl Serve {
                 Outcome::Rejected { .. } => {}
             }
         }
-        if let Some(o) = self.outcomes.get_mut(done.req.0 as usize) {
+        if let Some(o) = self.outcomes.get_mut(job.req.0 as usize) {
             *o = Some(done.outcome);
         }
     }
@@ -463,7 +473,8 @@ impl Serve {
                 if let Some(s) = self.sessions.get_mut(t.0 as usize) {
                     s.active += 1;
                 }
-                self.fault(r, t, None, now, "fleet lost: every device is quarantined".to_string());
+                let (_, job) = self.take_admitted(r, t, now);
+                self.fault(job, None, now, "fleet lost: every device is quarantined".to_string());
             }
             return;
         }
@@ -488,27 +499,23 @@ impl Serve {
         }
     }
 
-    /// Record a terminal fault for `req` as an immediately-retiring
+    /// Take an admitted request's spec out of the table — each request
+    /// is dispatched or faulted exactly once — with its job.
+    fn take_admitted(&mut self, req: ReqId, t: TenantId, now: u64) -> (Option<RequestSpec>, Job) {
+        match self.specs.get_mut(req.0 as usize).and_then(Option::take) {
+            Some((spec, job)) => (Some(spec), job),
+            None => (None, Job { req, tenant: t, bytes: 0, submitted_at: now }),
+        }
+    }
+
+    /// Record a terminal fault for a job as an immediately-retiring
     /// active entry, so quota release and counters flow through the one
     /// completion path.
-    fn fault(&mut self, req: ReqId, t: TenantId, device: Option<usize>, now: u64, error: String) {
-        let (submitted_at, bytes) = self
-            .specs
-            .get(req.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map_or((now, 0), |(_, _, at, b)| (*at, *b));
+    fn fault(&mut self, job: Job, device: Option<usize>, now: u64, error: String) {
         let seq = self.seq;
         self.seq += 1;
-        self.active.insert(
-            (now, seq),
-            Active {
-                req,
-                tenant: t,
-                bytes,
-                submitted_at,
-                outcome: Outcome::Faulted { device, started: now, finished: now, error },
-            },
-        );
+        let outcome = Outcome::Faulted { device, started: now, finished: now, error };
+        self.active.insert((now, seq), Active { job, outcome });
     }
 
     // ---- dispatch: the request's actual device work ---------------------
@@ -518,30 +525,31 @@ impl Serve {
     /// engine deterministic); only the completion — quota release and
     /// outcome publication — is deferred to the modeled finish cycle.
     fn dispatch(&mut self, req: ReqId, t: TenantId, now: u64) {
-        let Some((_, spec, _, _)) = self.specs.get(req.0 as usize).and_then(|s| s.clone()) else {
-            self.fault(req, t, None, now, "internal: dispatched request has no spec".to_string());
+        let (spec, job) = self.take_admitted(req, t, now);
+        let Some(spec) = spec else {
+            self.fault(job, None, now, "internal: dispatched request has no spec".to_string());
             return;
         };
-        // Single-flight compile: the host cache keys on the module
-        // fingerprint + config, so every tenant after the first hits.
-        let img = match self.host.load_image((*spec.module).clone(), spec.config) {
+        // Single-flight compile: the host cache keys on the module (by
+        // identity, else fingerprint + equality) and config, so every
+        // tenant after the first hits.
+        let img = match self.host.load_image(Rc::clone(&spec.module), spec.config) {
             Ok(i) => i,
             Err(e) => {
-                self.fault(req, t, None, now, e.to_string());
+                self.fault(job, None, now, e.to_string());
                 return;
             }
         };
         let Some(dev) = self.host.pick_device() else {
-            self.fault(req, t, None, now, "fleet lost: every device is quarantined".to_string());
+            self.fault(job, None, now, "fleet lost: every device is quarantined".to_string());
             return;
         };
         if let Err(e) = self.make_resident(dev, img) {
-            self.fault(req, t, Some(dev), now, e.to_string());
+            self.fault(job, Some(dev), now, e.to_string());
             return;
         }
-        match self.run_on_device(req, t, dev, &spec, now) {
-            Ok(()) => {}
-            Err(e) => self.fault(req, t, Some(dev), now, e.to_string()),
+        if let Err(e) = self.run_on_device(job, dev, &spec, now) {
+            self.fault(job, Some(dev), now, e.to_string());
         }
     }
 
@@ -588,12 +596,12 @@ impl Serve {
 
     fn run_on_device(
         &mut self,
-        req: ReqId,
-        t: TenantId,
+        job: Job,
         dev: usize,
         spec: &RequestSpec,
         now: u64,
     ) -> Result<(), HostError> {
+        let t = job.tenant;
         // Migrate session arguments resident on another device first —
         // residency is exclusive, and the writeback must complete before
         // this device's entries fix the memory layout.
@@ -625,17 +633,22 @@ impl Serve {
         let mut kargs: Vec<KArg> = Vec::with_capacity(spec.args.len());
         let mut exits: Vec<MapSpec> = Vec::new();
         let mut outs: Vec<(usize, BufId)> = Vec::new();
+        // Host buffers registered for this request alone, released once
+        // the outcome holds its outputs.
+        let mut temps: Vec<BufId> = Vec::new();
         for (i, a) in spec.args.iter().enumerate() {
             match a {
                 ReqArg::In(bytes) => {
                     let len = bytes.len() as u64;
                     let b = self.host.register_bytes((**bytes).clone());
+                    temps.push(b);
                     self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, len, MapKind::To)])?;
                     exits.push(MapSpec::whole(b, len, MapKind::Release));
                     kargs.push(KArg::Buf(b));
                 }
                 ReqArg::Out(len) => {
                     let b = self.host.register_zeros(*len);
+                    temps.push(b);
                     self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, *len, MapKind::From)])?;
                     exits.push(MapSpec::whole(b, *len, MapKind::From));
                     outs.push((i, b));
@@ -643,6 +656,7 @@ impl Serve {
                 }
                 ReqArg::Scratch(len) => {
                     let b = self.host.register_zeros(*len);
+                    temps.push(b);
                     self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, *len, MapKind::Alloc)])?;
                     exits.push(MapSpec::whole(b, *len, MapKind::Release));
                     kargs.push(KArg::Buf(b));
@@ -707,11 +721,6 @@ impl Serve {
         }
 
         let started = now.max(self.dev_free.get(dev).copied().unwrap_or(0));
-        let (submitted_at, bytes) = self
-            .specs
-            .get(req.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map_or((now, 0), |(_, _, at, b)| (*at, *b));
         let outcome = match (self.host.take_metrics(ticket), first_err) {
             (Ok(m), None) => {
                 let finished = started + m.cycles;
@@ -738,6 +747,12 @@ impl Serve {
                 error: first.unwrap_or_else(|| e.to_string()),
             },
         };
+        for b in temps {
+            // Only a drain cut short by its fuel cap leaves a buffer in
+            // use; it then stays registered rather than freed under a
+            // queued transfer.
+            self.host.release_buffer(b).ok();
+        }
         let finished = match &outcome {
             Outcome::Completed { finished, .. } | Outcome::Faulted { finished, .. } => *finished,
             Outcome::Rejected { at, .. } => *at,
@@ -747,7 +762,7 @@ impl Serve {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.active.insert((finished, seq), Active { req, tenant: t, bytes, submitted_at, outcome });
+        self.active.insert((finished, seq), Active { job, outcome });
         Ok(())
     }
 

@@ -2,21 +2,20 @@
 
 use std::sync::Arc;
 
-use nzomp_ir::analysis::liveness;
 use nzomp_ir::{Module, Space};
 
-use crate::bytecode::{lower_module, BcModule};
+use crate::bytecode::BcModule;
 use crate::cost::{CostModel, DeviceConfig};
 use crate::error::{ExecError, TrapKind};
 use crate::exec::{ExecTier, TeamEngine};
 use crate::faults::{DeviceFaultKind, FaultPlan};
 use crate::gmem::{apply_effects, GlobalMem};
-use crate::interp::{Counters, GlobalLayout, HeapState};
+use crate::image::DeviceImage;
+use crate::interp::{Counters, HeapState};
 use crate::memory::{DevPtr, Region};
-use crate::memory::Segment;
 use crate::metrics::KernelMetrics;
 use crate::par::{run_wave, WaveCtx};
-use crate::sanitize::{self, LaunchSan, SanReport, TeamSan, COND_WRITE_SINK};
+use crate::sanitize::{LaunchSan, SanReport, TeamSan};
 use crate::value::RtVal;
 
 /// Host-side memcpy errors carry a synthetic function name so the one
@@ -87,8 +86,8 @@ impl Launch {
 pub struct Device {
     pub config: DeviceConfig,
     pub cost: CostModel,
-    module: Module,
-    layout: GlobalLayout,
+    /// The prepared module, shared with every device running it.
+    image: Arc<DeviceImage>,
     global: Region,
     constant: Region,
     heap: HeapState,
@@ -106,14 +105,6 @@ pub struct Device {
     /// Promote sanitizer findings of an otherwise clean launch to a
     /// [`TrapKind::SanitizerViolation`] (`NZOMP_SANITIZE=strict`).
     san_strict: bool,
-    /// Shared-space ranges the sanitizer must not check: the cond-write
-    /// sink (`__omp_rtl_dummy`), whose concurrent plain stores are the
-    /// deliberate Fig. 7b idiom. Computed once at load.
-    suppress_shared: Vec<(u64, u64)>,
-    /// Function indices of the allocator release entry points
-    /// ([`sanitize::REGION_RELEASE_FNS`]) — the sanitizer retires the
-    /// shadow of released ranges. Computed once at load.
-    release_fns: Vec<u32>,
     /// Sanitizer outcome of the most recent launch (kept even when the
     /// launch trapped).
     last_san: Option<LaunchSan>,
@@ -134,62 +125,28 @@ pub struct Device {
     /// Both tiers are bit-identical in every observable (memory image,
     /// metrics, traps, sanitizer verdicts) — see `docs/exec-tiers.md`.
     tier: ExecTier,
-    /// Lazily lowered bytecode image. A pure function of the loaded
-    /// module and the fixed global layout, so it is computed at most once
-    /// per device and never invalidated.
-    bc: Option<Arc<BcModule>>,
 }
 
 impl Device {
-    /// Load `module` onto a device with the given configuration.
+    /// Load `module` onto a device with the given configuration: prepare
+    /// a [`DeviceImage`] of it and build the device from that.
+    pub fn load(module: impl Into<Arc<Module>>, config: DeviceConfig) -> Device {
+        Device::from_image(Arc::new(DeviceImage::new(module)), config)
+    }
+
+    /// A device running a prepared `image` with fresh memory. Every
+    /// device sharing one image shares its layout, bytecode and register
+    /// estimates; only memory and run state are per device.
     ///
     /// Global- and constant-space globals get their initializer images;
     /// shared-space globals are *not* statically initialized (real shared
     /// memory is undefined at kernel start — the runtime initializes what
     /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
-    pub fn load(module: Module, config: DeviceConfig) -> Device {
-        let mut layout = GlobalLayout {
-            addr_of: Vec::with_capacity(module.globals.len()),
-            ..GlobalLayout::default()
-        };
-        let mut global_top: u64 = 0;
-        let mut shared_top: u64 = 0;
-        let mut const_top: u64 = 0;
-        for g in &module.globals {
-            let align = 8u64;
-            match g.space {
-                Space::Global => {
-                    global_top = (global_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::global(global_top as u32));
-                    global_top += g.size;
-                }
-                Space::Shared => {
-                    shared_top = (shared_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::shared(shared_top as u32));
-                    shared_top += g.size;
-                }
-                Space::Constant => {
-                    const_top = (const_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::constant(const_top as u32));
-                    const_top += g.size;
-                }
-                Space::Local => {
-                    // Local-space globals make no sense; treat as shared so
-                    // they at least have storage.
-                    shared_top = (shared_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::shared(shared_top as u32));
-                    shared_top += g.size;
-                }
-            }
-        }
-        layout.shared_size = shared_top;
-        layout.global_static_size = global_top;
-        layout.const_size = const_top;
-
-        let mut global = Region::with_size(global_top as usize);
-        let mut constant = Region::with_size(const_top as usize);
-        for (i, g) in module.globals.iter().enumerate() {
-            let addr = layout.addr_of[i];
+    pub fn from_image(image: Arc<DeviceImage>, config: DeviceConfig) -> Device {
+        let layout = image.layout();
+        let mut global = Region::with_size(layout.global_static_size as usize);
+        let mut constant = Region::with_size(layout.const_size as usize);
+        for (g, addr) in image.module().globals.iter().zip(&layout.addr_of) {
             let region = match g.space {
                 Space::Global => &mut global,
                 Space::Constant => &mut constant,
@@ -202,33 +159,15 @@ impl Device {
 
         let heap = HeapState {
             live_allocs: Default::default(),
-            limit: global_top + config.heap_bytes,
+            limit: layout.global_static_size + config.heap_bytes,
         };
         let workers = resolve_workers(config.worker_threads);
         let (sanitize, san_strict) = resolve_sanitize(config.sanitize);
         let tier = config.exec_tier;
-        let suppress_shared: Vec<(u64, u64)> = module
-            .globals
-            .iter()
-            .zip(&layout.addr_of)
-            .filter(|(_, addr)| addr.segment() == Segment::Shared)
-            .filter_map(|(g, addr)| match g.name.as_str() {
-                // The cond-write sink (Fig. 7b): every byte is benign.
-                COND_WRITE_SINK => Some((addr.offset(), g.size)),
-                // Team state: only the idempotent `HasThreadState` flag.
-                sanitize::TEAM_STATE => {
-                    let (field_off, len) = sanitize::TEAM_STATE_BENIGN_FIELD;
-                    Some((addr.offset() + field_off, len))
-                }
-                _ => None,
-            })
-            .collect();
-        let release_fns = crate::sanitize::release_fn_ids(&module);
         Device {
             config,
             cost: CostModel::default(),
-            module,
-            layout,
+            image,
             global,
             constant,
             heap,
@@ -236,15 +175,12 @@ impl Device {
             workers,
             sanitize,
             san_strict,
-            suppress_shared,
-            release_fns,
             last_san: None,
             dev_ops: 0,
             dev_sites_fired: Vec::new(),
             lost: false,
             watchdog_fuel: None,
             tier,
-            bc: None,
         }
     }
 
@@ -257,16 +193,6 @@ impl Device {
 
     pub fn exec_tier(&self) -> ExecTier {
         self.tier
-    }
-
-    /// The bytecode image for the loaded module, lowering it on first use.
-    fn ensure_bytecode(&mut self) -> Arc<BcModule> {
-        if let Some(bc) = &self.bc {
-            return Arc::clone(bc);
-        }
-        let bc = Arc::new(lower_module(&self.module, &self.layout));
-        self.bc = Some(Arc::clone(&bc));
-        bc
     }
 
     /// Set the number of host worker threads used to execute the teams of
@@ -330,7 +256,12 @@ impl Device {
     }
 
     pub fn module(&self) -> &Module {
-        &self.module
+        self.image.module()
+    }
+
+    /// The prepared image this device runs.
+    pub fn image(&self) -> &Arc<DeviceImage> {
+        &self.image
     }
 
     /// Arm a fault-injection plan; every subsequent launch executes under
@@ -582,9 +513,10 @@ impl Device {
 
     /// Address of a named global (host access to device state).
     pub fn global_addr(&self, name: &str) -> Option<DevPtr> {
-        self.module
+        self.image
+            .module()
             .find_global(name)
-            .map(|g| self.layout.addr_of[g.index()])
+            .map(|g| self.image.layout().addr_of[g.index()])
     }
 
     /// Launch a kernel by name. Returns metrics on success; `ExecError` on
@@ -603,13 +535,14 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        let func_ref = self.module.find_func(kernel).ok_or_else(|| ExecError {
+        let module = self.image.module();
+        let func_ref = module.find_func(kernel).ok_or_else(|| ExecError {
             kind: TrapKind::BadLaunch(format!("no kernel @{kernel}")),
             team: 0,
             thread: 0,
             func: kernel.to_string(),
         })?;
-        let func = self.module.func(func_ref);
+        let func = module.func(func_ref);
         if func.params.len() != args.len() {
             return Err(ExecError {
                 kind: TrapKind::BadLaunch(format!(
@@ -622,19 +555,8 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        // Registers are allocated for the whole call tree on a GPU (no real
-        // call stack): take the maximum over every function reachable from
-        // the kernel.
-        let cg = nzomp_ir::analysis::callgraph::CallGraph::build(&self.module);
-        let regs = cg
-            .reachable_from(&self.module, &[func_ref])
-            .into_iter()
-            .map(|fr| self.module.func(fr))
-            .filter(|f| !f.is_declaration())
-            .map(liveness::register_estimate)
-            .max()
-            .unwrap_or_else(|| liveness::register_estimate(func));
-        let smem = self.layout.shared_size;
+        let regs = self.image.kernel_regs(func_ref);
+        let smem = self.image.layout().shared_size;
         let shared_total = smem + launch.dyn_smem_bytes;
 
         // Occupancy is computed up front: the wave chunking drives *both*
@@ -658,11 +580,11 @@ impl Device {
         // (both execution paths), stored on the device even when the
         // launch traps — reports must survive the error return.
         let mut lsan: Option<LaunchSan> = self.sanitize.then(LaunchSan::default);
-        // Tier selection: the bytecode image (lowered once per device) is
+        // Tier selection: the bytecode image (lowered once per image) is
         // threaded to every team engine of this launch; `None` selects the
         // reference interpreter.
         let bc_arc = match self.tier {
-            ExecTier::Bytecode => Some(self.ensure_bytecode()),
+            ExecTier::Bytecode => Some(Arc::clone(self.image.bytecode())),
             ExecTier::Interp => None,
         };
         let bc = bc_arc.as_deref();
@@ -785,14 +707,14 @@ impl Device {
         for team in 0..launch.teams {
             let mut exec = TeamEngine::new(
                 bc,
-                &self.module,
+                self.image.module(),
                 &self.cost,
                 self.config.check_assumes,
                 team,
                 launch.teams,
                 launch.threads_per_team,
                 shared_total,
-                &self.layout,
+                self.image.layout(),
                 GlobalMem::Direct {
                     region: &mut self.global,
                     heap: &mut self.heap,
@@ -804,8 +726,8 @@ impl Device {
             if lsan.is_some() {
                 exec.set_sanitizer(Some(Box::new(TeamSan::new(
                     team,
-                    self.suppress_shared.clone(),
-                    self.release_fns.clone(),
+                    self.image.suppress_shared().to_vec(),
+                    self.image.release_fns().to_vec(),
                 ))));
             }
             let result = exec.run(kernel_idx, args);
@@ -815,7 +737,7 @@ impl Device {
             // to the trap are still reported (sequential first-trap
             // semantics — later teams never run, so never fold).
             if let (Some(ls), Some(s)) = (lsan.as_mut(), san) {
-                ls.fold_team(&self.module, *s);
+                ls.fold_team(self.image.module(), *s);
             }
             totals.add(&counters);
             *fuel = fuel_left;
@@ -856,10 +778,10 @@ impl Device {
         let teams: Vec<u32> = (0..launch.teams).collect();
         for wave in teams.chunks(wave_size.max(1)) {
             let ctx = WaveCtx {
-                module: &self.module,
+                module: self.image.module(),
                 bc,
                 cost: &self.cost,
-                layout: &self.layout,
+                layout: self.image.layout(),
                 constant: &self.constant,
                 plan: self.faults.as_ref(),
                 check_assumes: self.config.check_assumes,
@@ -869,8 +791,8 @@ impl Device {
                 threads_per_team: launch.threads_per_team,
                 shared_total,
                 sanitize: lsan.is_some(),
-                suppress_shared: &self.suppress_shared,
-                release_fns: &self.release_fns,
+                suppress_shared: self.image.suppress_shared(),
+                release_fns: self.image.release_fns(),
             };
             let runs = run_wave(&ctx, &self.global, wave, *fuel, self.workers);
             for (run, &team) in runs.into_iter().zip(wave) {
@@ -905,14 +827,14 @@ impl Device {
                 } else {
                     let mut exec = TeamEngine::new(
                         bc,
-                        &self.module,
+                        self.image.module(),
                         &self.cost,
                         self.config.check_assumes,
                         team,
                         launch.teams,
                         launch.threads_per_team,
                         shared_total,
-                        &self.layout,
+                        self.image.layout(),
                         GlobalMem::Direct {
                             region: &mut self.global,
                             heap: &mut self.heap,
@@ -924,8 +846,8 @@ impl Device {
                     if lsan.is_some() {
                         exec.set_sanitizer(Some(Box::new(TeamSan::new(
                             team,
-                            self.suppress_shared.clone(),
-                            self.release_fns.clone(),
+                            self.image.suppress_shared().to_vec(),
+                            self.image.release_fns().to_vec(),
                         ))));
                     }
                     let result = exec.run(kernel_idx, args);
@@ -936,7 +858,7 @@ impl Device {
                 // Ascending-team fold at the merge position — the same
                 // order and state as the sequential path.
                 if let (Some(ls), Some(s)) = (lsan.as_mut(), san) {
-                    ls.fold_team(&self.module, *s);
+                    ls.fold_team(self.image.module(), *s);
                 }
                 totals.add(&counters);
                 *fuel -= steps;

@@ -33,6 +33,7 @@ pub mod error;
 pub mod exec;
 pub mod faults;
 pub mod gmem;
+pub mod image;
 pub mod interp;
 pub mod memory;
 pub mod metrics;
@@ -44,6 +45,7 @@ pub mod value;
 pub use cost::{CostModel, DeviceConfig};
 pub use device::Device;
 pub use exec::ExecTier;
+pub use image::DeviceImage;
 pub use error::{ExecError, TrapKind};
 pub use faults::{DeviceFaultKind, DeviceFaultSite, FaultAction, FaultPlan, FaultSite};
 pub use memory::{DevPtr, Segment};

@@ -194,7 +194,7 @@ fn printer_parser_roundtrip_compiled_proxies() {
         };
         assert_eq!(
             run(back),
-            run(m),
+            run((*m).clone()),
             "{}: reparsed module executes differently",
             p.name()
         );
